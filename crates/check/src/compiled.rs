@@ -411,9 +411,9 @@ mod tests {
         let dfgs: Vec<isax_ir::Dfg> = p.functions.iter().flat_map(function_dfgs).collect();
         let result = isax_explore::explore_app(&dfgs, &hw, &Default::default());
         let mut cfus = isax_select::combine(&dfgs, &result.candidates, &hw);
-        isax_select::mark_subsumptions(&mut cfus, 64);
+        isax_select::mark_subsumptions(&mut cfus, isax_select::DEFAULT_CLOSURE_CAP);
         let sel = isax_select::select_greedy(&cfus, &isax_select::SelectConfig::with_budget(15.0));
-        let mdes = Mdes::from_selection("kern", &cfus, &sel, &hw, 64);
+        let mdes = Mdes::from_selection("kern", &cfus, &sel, &hw, isax_select::DEFAULT_CLOSURE_CAP);
         let compiled = compile(
             &p,
             &mdes,

@@ -35,6 +35,7 @@ use isax_ir::{function_dfgs, Dfg, Program};
 use isax_select::{
     combine, find_wildcard_partners, mark_subsumptions, select_greedy, select_greedy_metered,
     select_knapsack, select_multifunction, CfuCandidate, SelectConfig, Selection,
+    DEFAULT_CLOSURE_CAP,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -51,7 +52,7 @@ pub struct SharedContext {
     /// `beam_width` defaults from the `ISAX_BEAM` environment variable
     /// (unset or `0` keeps the exhaustive depth-first walk).
     pub explore: ExploreConfig,
-    /// Cap on each CFU's contraction closure.
+    /// Cap on each CFU's contraction closure ([`DEFAULT_CLOSURE_CAP`]).
     pub closure_cap: usize,
     /// Baseline machine shape.
     pub model: VliwModel,
@@ -67,7 +68,7 @@ impl SharedContext {
                 beam_width: beam_width_from_env(),
                 ..ExploreConfig::default()
             },
-            closure_cap: 64,
+            closure_cap: DEFAULT_CLOSURE_CAP,
             model: VliwModel::default(),
         }
     }

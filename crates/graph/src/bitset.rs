@@ -19,9 +19,22 @@
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 70]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BitSet {
     words: Vec<u64>,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation (the derived `clone_from` would not).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl BitSet {
@@ -92,6 +105,23 @@ impl BitSet {
                 }
             })
         })
+    }
+
+    /// The words from the first to the last non-zero one, with the index
+    /// of the first: a compact key that is equal exactly for equal sets
+    /// (empty: `(0, [])`).
+    pub fn trimmed_words(&self) -> (usize, &[u64]) {
+        let Some(first) = self.words.iter().position(|&w| w != 0) else {
+            return (0, &[]);
+        };
+        let last = self.words.iter().rposition(|&w| w != 0).unwrap_or(first);
+        (first, &self.words[first..=last])
+    }
+
+    /// The largest element, if any.
+    pub fn last(&self) -> Option<usize> {
+        let wi = self.words.iter().rposition(|&w| w != 0)?;
+        Some(wi * 64 + 63 - self.words[wi].leading_zeros() as usize)
     }
 
     /// Returns a copy with `v` inserted.
@@ -218,6 +248,26 @@ mod tests {
         let mut c = BitSet::new();
         c.union_with(&a);
         assert_eq!(c, a);
+    }
+
+    #[test]
+    fn trimmed_words_are_canonical() {
+        assert_eq!(BitSet::new().trimmed_words(), (0, &[][..]));
+        let mut a = BitSet::with_capacity(512);
+        a.insert(130);
+        a.insert(200);
+        let b: BitSet = [200usize, 130].into_iter().collect();
+        assert_eq!(a.trimmed_words(), b.trimmed_words());
+        assert_eq!(a.trimmed_words(), (2, &[1u64 << 2, 1u64 << 8][..]));
+    }
+
+    #[test]
+    fn last_is_the_largest_element() {
+        assert_eq!(BitSet::new().last(), None);
+        assert_eq!(BitSet::with_capacity(300).last(), None);
+        let s: BitSet = [3usize, 64, 200].into_iter().collect();
+        assert_eq!(s.last(), Some(200));
+        assert_eq!(s.last(), s.iter().last());
     }
 
     #[test]

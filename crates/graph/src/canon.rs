@@ -126,11 +126,11 @@ impl std::fmt::Write for StrHasher {
 
 /// A [`std::hash::Hasher`] for map keys that are already uniformly mixed
 /// `u64`s — the outputs of [`mix`], [`combine`], [`hash_str`],
-/// [`multiset_key`] or [`fingerprint`]. Re-hashing such keys with SipHash
-/// buys nothing; this hasher folds the written words together with a
-/// rotate-xor instead. Use via [`PremixedState`]. Do **not** use it for
-/// keys that are not hash outputs (sequential ids, small integers): their
-/// low bits would collide in the table.
+/// [`multiset_key`], [`refined_key`] or [`fingerprint`]. Re-hashing such
+/// keys with SipHash buys nothing; this hasher folds the written words
+/// together with a rotate-xor instead. Use via [`PremixedState`]. Do
+/// **not** use it for keys that are not hash outputs (sequential ids,
+/// small integers): their low bits would collide in the table.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PremixedHasher(u64);
 
@@ -204,6 +204,50 @@ pub fn multiset_key<N>(
         combine(g.node_count() as u64, g.edge_count() as u64),
         nodes.wrapping_add(edges),
     ))
+}
+
+/// A sound structural key over an explicit edge list: `n` nodes with
+/// label keys `key_of(v)` and commutativity flags `comm_of(v)`, and
+/// `(src, dst, port)` triples in any order, ports collapsed to
+/// [`COMMUTATIVE_PORT`] on commutative consumers.
+///
+/// Each node's colour starts from its label key and is refined three
+/// times with the wrapping *sums* of its in- and out-neighbours' colours
+/// (tagged with the port), so no sorting is needed and the key sees how
+/// edges chain together — unlike [`multiset_key`], which sees only
+/// endpoint labels. Commutativity-aware isomorphic graphs always get
+/// equal keys; unequal ones collide with hash probability, so callers
+/// confirm bucket hits exactly. Only the scratch's refinement buffers
+/// are used (the caller-filled `base`/`comm` stay untouched).
+pub fn refined_key(
+    n: usize,
+    key_of: impl Fn(usize) -> u64,
+    comm_of: impl Fn(usize) -> bool,
+    edges: &[(u32, u32, u8)],
+    scratch: &mut CanonScratch,
+) -> u64 {
+    let (colour, next) = (&mut scratch.colour, &mut scratch.next);
+    colour.clear();
+    colour.extend((0..n).map(|v| mix(key_of(v))));
+    for _round in 0..3 {
+        next.clear();
+        next.extend(colour.iter().map(|&c| combine(c, 0x1d)));
+        for &(s, d, p) in edges {
+            let (s, d) = (s as usize, d as usize);
+            let port = if comm_of(d) {
+                COMMUTATIVE_PORT
+            } else {
+                p as u64
+            };
+            next[d] = next[d].wrapping_add(mix(combine(colour[s], port ^ 0xA11CE)));
+            next[s] = next[s].wrapping_add(mix(combine(colour[d], port ^ 0xB0B)));
+        }
+        for (c, &x) in colour.iter_mut().zip(next.iter()) {
+            *c = mix(x);
+        }
+    }
+    let nodes = colour.iter().fold(0u64, |acc, &c| acc.wrapping_add(mix(c)));
+    mix(combine(combine(n as u64, edges.len() as u64), nodes))
 }
 
 /// Reusable buffers for [`fingerprint_keys`].
@@ -495,6 +539,74 @@ mod tests {
         let b3 = g3.add_node("and");
         g3.add_edge(a3, b3, 0);
         assert_ne!(mk(&g1), mk(&g3));
+    }
+
+    #[test]
+    fn refined_key_is_isomorphism_invariant() {
+        let rk = |g: &DiGraph<&str>| {
+            let edges: Vec<(u32, u32, u8)> =
+                g.edges().map(|e| (e.src.0, e.dst.0, e.port)).collect();
+            let mut scratch = CanonScratch::default();
+            let v = |i: usize| g[NodeId(i as u32)];
+            refined_key(
+                g.node_count(),
+                |i| hash_str(v(i)),
+                |i| comm(&v(i)),
+                &edges,
+                &mut scratch,
+            )
+        };
+        // Insertion order of nodes and edges must not matter.
+        let build = |perm: &[usize], rev_edges: bool| {
+            let labels = ["shl", "and", "add", "xor", "sub"];
+            let mut edges = vec![(0, 1, 0u8), (1, 2, 1), (0, 3, 0), (3, 2, 0), (2, 4, 1)];
+            if rev_edges {
+                edges.reverse();
+            }
+            let mut g = DiGraph::new();
+            let mut ids = [NodeId(0); 5];
+            for &orig in perm {
+                ids[orig] = g.add_node(labels[orig]);
+            }
+            for &(s, d, p) in &edges {
+                g.add_edge(ids[s], ids[d], p);
+            }
+            g
+        };
+        let base = rk(&build(&[0, 1, 2, 3, 4], false));
+        assert_eq!(base, rk(&build(&[4, 3, 2, 1, 0], true)));
+        assert_eq!(base, rk(&build(&[2, 0, 4, 1, 3], false)));
+        // Commutative port swap must not matter; a non-commutative one must.
+        let swap = |dst: &'static str, p0: u8, p1: u8| {
+            let mut g = DiGraph::new();
+            let x = g.add_node("shl");
+            let y = g.add_node("shr");
+            let s = g.add_node(dst);
+            g.add_edge(x, s, p0);
+            g.add_edge(y, s, p1);
+            g
+        };
+        assert_eq!(rk(&swap("or", 0, 1)), rk(&swap("or", 1, 0)));
+        assert_ne!(rk(&swap("sub", 0, 1)), rk(&swap("sub", 1, 0)));
+        // Unlike `multiset_key`, it sees how edges chain: two xor->add
+        // edges feeding one add vs. two separate adds differ only in
+        // which add each edge reaches.
+        let fan = |split: bool| {
+            let mut g = DiGraph::new();
+            let x1 = g.add_node("xor");
+            let x2 = g.add_node("xor");
+            let a1 = g.add_node("add");
+            let a2 = g.add_node("add");
+            let o = g.add_node("or");
+            g.add_edge(x1, a1, 0);
+            g.add_edge(x2, if split { a2 } else { a1 }, 1);
+            g.add_edge(a1, o, 0);
+            g.add_edge(a2, o, 1);
+            g
+        };
+        let mk = |g: &DiGraph<&str>| multiset_key(g, |v| hash_str(g[v]), |v| comm(&g[v]));
+        assert_eq!(mk(&fan(false)), mk(&fan(true)));
+        assert_ne!(rk(&fan(false)), rk(&fan(true)));
     }
 
     #[test]

@@ -422,42 +422,40 @@ impl Dfg {
     /// would force the custom instruction to issue both before and after
     /// the external operation.
     pub fn is_convex(&self, nodes: &BitSet) -> bool {
-        // Forward reachability from the set's external successors: if any
-        // external node reachable from the set reaches back in, reject.
-        let n = self.insts.len();
-        let mut reaches_from_set = vec![false; n];
-        // Process in program order (topological).
-        for v in 0..n {
-            if nodes.contains(v) {
+        // Every edge points forward in program order, so a path that
+        // leaves the set and re-enters it only visits nodes strictly
+        // between the lowest and highest member. One pass over that span
+        // in program order (topological) marks the non-members the set
+        // reaches and rejects a member fed by a marked node. Until a
+        // non-member is reached, no member needs looking at.
+        let (Some(lo), Some(hi)) = (nodes.iter().next(), nodes.last()) else {
+            return true;
+        };
+        let preds = |v: usize| {
+            self.data_preds[v]
+                .iter()
+                .map(|&(u, _)| u)
+                .chain(self.order_preds[v].iter().copied())
+                .chain(self.anti_preds[v].iter().copied())
+        };
+        // `reached[u - lo]`, allocated once the first non-member is reached.
+        let mut reached: Vec<bool> = Vec::new();
+        for v in lo + 1..=hi {
+            let member = nodes.contains(v);
+            if member && reached.is_empty() {
                 continue;
             }
-            let mut hit = false;
-            for &(u, _) in &self.data_preds[v] {
-                if nodes.contains(u) || reaches_from_set[u] {
-                    hit = true;
-                    break;
-                }
-            }
-            if !hit {
-                for &u in self.order_preds[v].iter().chain(&self.anti_preds[v]) {
-                    if nodes.contains(u) || reaches_from_set[u] {
-                        hit = true;
-                        break;
-                    }
-                }
-            }
-            reaches_from_set[v] = hit;
-        }
-        for v in nodes.iter() {
-            for &(u, _) in &self.data_preds[v] {
-                if !nodes.contains(u) && reaches_from_set[u] {
+            let from_outside = !reached.is_empty()
+                && preds(v).any(|u| u > lo && !nodes.contains(u) && reached[u - lo]);
+            if member {
+                if from_outside {
                     return false;
                 }
-            }
-            for &u in self.order_preds[v].iter().chain(&self.anti_preds[v]) {
-                if !nodes.contains(u) && reaches_from_set[u] {
-                    return false;
+            } else if from_outside || preds(v).any(|u| nodes.contains(u)) {
+                if reached.is_empty() {
+                    reached = vec![false; hi - lo];
                 }
+                reached[v - lo] = true;
             }
         }
         true

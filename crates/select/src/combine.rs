@@ -107,35 +107,6 @@ pub fn patterns_equivalent(a: &DiGraph<DfgLabel>, b: &DiGraph<DfgLabel>) -> bool
     vf2::are_isomorphic(a, b, DfgLabel::matches_exact, |l| l.opcode.is_commutative())
 }
 
-/// True if `a` and `b` are *literally* the same graph — same labels in the
-/// same node order, same edge set. A cheap sufficient (not necessary)
-/// condition for [`patterns_equivalent`], used to skip the VF2 search in
-/// the common case where two pipelines produced a pattern the same way
-/// (e.g. contraction of the same node set in a different order, which
-/// preserves relative node order).
-pub(crate) fn patterns_identical_fast(a: &DiGraph<DfgLabel>, b: &DiGraph<DfgLabel>) -> bool {
-    if a.node_count() != b.node_count() {
-        return false;
-    }
-    if a.node_ids().zip(b.node_ids()).any(|(x, y)| a[x] != b[y]) {
-        return false;
-    }
-    let mut ea: Vec<(usize, usize, u8)> = a
-        .edges()
-        .map(|e| (e.src.index(), e.dst.index(), e.port))
-        .collect();
-    let mut eb: Vec<(usize, usize, u8)> = b
-        .edges()
-        .map(|e| (e.src.index(), e.dst.index(), e.port))
-        .collect();
-    if ea.len() != eb.len() {
-        return false;
-    }
-    ea.sort_unstable();
-    eb.sort_unstable();
-    ea == eb
-}
-
 /// Groups discovered candidates into CFU candidates.
 ///
 /// `dfgs` must be the same slice exploration ran over (occurrence indices

@@ -14,23 +14,30 @@
 //! onto the subsuming hardware — the mechanism behind the black bar
 //! segments of Figures 8 and 9.
 
-use crate::combine::{patterns_equivalent, patterns_identical_fast, CfuCandidate};
+use crate::combine::{patterns_equivalent, CfuCandidate};
 use isax_graph::{canon, par, DiGraph, NodeId};
 use isax_ir::DfgLabel;
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 
 /// Maximum closure size used when none is specified.
-pub const DEFAULT_CLOSURE_CAP: usize = 128;
+pub const DEFAULT_CLOSURE_CAP: usize = 64;
 
-/// True if node `v` of `pattern` can be bypassed, returning the internal
+/// An internal data edge `(src, dst, port)` by node position.
+type Triple = (u32, u32, u8);
+
+/// True if a node labelled `label` can be bypassed, returning the internal
 /// pass-through producer if there is one (`None` means the passed value is
-/// an external input).
+/// an external input). `internal_in(port)` names the pattern node feeding
+/// `port`, if any.
 ///
 /// Conditions: the opcode has an identity element; the identity port has
 /// no internal producer and no conflicting hardwired constant; the pass
 /// port carries a real value (not a hardwired constant).
-fn bypass_source(pattern: &DiGraph<DfgLabel>, v: NodeId) -> Option<Option<(NodeId, u8)>> {
-    let label = &pattern[v];
+fn bypass_source(
+    label: &DfgLabel,
+    internal_in: impl Fn(u8) -> Option<u32>,
+) -> Option<Option<(u32, u8)>> {
     let (pass_canon, ident) = label.opcode.identity()?;
     debug_assert_eq!(pass_canon, 0);
     // Candidate (pass, identity) port assignments.
@@ -40,7 +47,6 @@ fn bypass_source(pattern: &DiGraph<DfgLabel>, v: NodeId) -> Option<Option<(NodeI
     } else {
         &BOTH[..1]
     };
-    let internal_in = |port: u8| pattern.preds(v).find(|e| e.port == port).map(|e| e.src);
     let imm_at = |port: u8| {
         label
             .imms
@@ -71,7 +77,9 @@ pub fn contract_once(pattern: &DiGraph<DfgLabel>, v: NodeId) -> Option<DiGraph<D
     if pattern.node_count() <= 1 {
         return None;
     }
-    let pass = bypass_source(pattern, v)?;
+    let pass = bypass_source(&pattern[v], |port| {
+        pattern.preds(v).find(|e| e.port == port).map(|e| e.src.0)
+    })?;
     // Build the graph without v.
     let mut g = DiGraph::with_capacity(pattern.node_count() - 1);
     let mut remap = vec![None; pattern.node_count()];
@@ -97,7 +105,7 @@ pub fn contract_once(pattern: &DiGraph<DfgLabel>, v: NodeId) -> Option<DiGraph<D
                 continue; // self-loop cannot occur in a DFG, but stay safe
             }
             g.add_edge(
-                remap[u.index()].unwrap(),
+                remap[u as usize].unwrap(),
                 remap[e.dst.index()].unwrap(),
                 e.port,
             );
@@ -137,183 +145,223 @@ pub fn contract_once(pattern: &DiGraph<DfgLabel>, v: NodeId) -> Option<DiGraph<D
 /// assert!(closure.iter().any(|g| g.node_count() == 1));
 /// ```
 pub fn contraction_closure(pattern: &DiGraph<DfgLabel>, cap: usize) -> Vec<DiGraph<DfgLabel>> {
-    closure_keyed(pattern, cap)
+    closure_members(pattern, cap)
         .into_iter()
-        .map(|(g, _)| g)
+        .skip(1)
+        .map(|m| {
+            m.graph
+                .into_inner()
+                .unwrap_or_else(|| build_graph(pattern, &m.survivors, &m.edges))
+        })
         .collect()
 }
 
-/// Cheap structural key of `g` from precomputed per-node label keys and
-/// commutativity flags (see [`canon::multiset_key`]). Used only to bucket
-/// equality candidates — every hit is confirmed exactly, so collisions
-/// cost a VF2 call, never a wrong answer.
-fn key_from_keys(g: &DiGraph<DfgLabel>, keys: &[u64], comm: &[bool]) -> u64 {
-    canon::multiset_key(g, |v| keys[v.index()], |v| comm[v.index()])
+/// Replaces `out` with the sorted `(src, dst, port)` triples of `g`.
+fn sorted_triples(g: &DiGraph<DfgLabel>, out: &mut Vec<Triple>) {
+    out.clear();
+    out.extend(g.edges().map(|e| (e.src.0, e.dst.0, e.port)));
+    out.sort_unstable();
 }
 
-/// A closure member: the contracted graph, its cheap structural key, and
-/// its sorted `(src, dst, port)` edge triples, cached so duplicate
-/// attempts can compare against it without building anything.
-struct Member {
-    graph: DiGraph<DfgLabel>,
-    key: u64,
-    sorted_edges: Vec<(usize, usize, u8)>,
+/// The graph of a compact member: node `p` carries the root's label at
+/// `survivors[p]`, edges are added in triple order.
+fn build_graph(root: &DiGraph<DfgLabel>, survivors: &[u32], edges: &[Triple]) -> DiGraph<DfgLabel> {
+    let mut g = DiGraph::with_capacity(survivors.len());
+    for &r in survivors {
+        g.add_node(root[NodeId(r)].clone());
+    }
+    for &(s, d, p) in edges {
+        g.add_edge(NodeId(s), NodeId(d), p);
+    }
+    g
 }
 
-/// [`contraction_closure`] that also returns each member's cheap
-/// structural key, computed once per member while the closure is built.
-///
-/// Label keys are hashed once at the root and *remapped* through each
-/// contraction ([`contract_once`] preserves relative node order, so a
-/// contraction's key vector is the parent's with the bypassed entry
-/// removed) — the closure walk does no label-string hashing and no WL
-/// refinement at all. Every member is strictly smaller than the root (a
-/// contraction removes a node), so no root-equality check is needed.
-///
-/// Most contraction attempts rediscover a member already reached via a
-/// different bypass order, so the walk works *prospectively*: it
-/// enumerates the contraction's edge triples into a scratch buffer,
-/// derives the structural key from them, and compares labels and edges
-/// exactly against the key bucket's cached members — the
-/// `patterns_identical_fast` relation, graph-build-free. Only genuinely
-/// new shapes (or the rare same-key cousin that needs a VF2 verdict) pay
-/// for graph construction.
-fn closure_keyed(pattern: &DiGraph<DfgLabel>, cap: usize) -> Vec<(DiGraph<DfgLabel>, u64)> {
-    let root_keys: Vec<u64> = pattern.node_ids().map(|n| pattern[n].key()).collect();
-    let root_comm: Vec<bool> = pattern
-        .node_ids()
-        .map(|n| pattern[n].opcode.is_commutative())
-        .collect();
-    let mut seen: HashMap<u64, Vec<usize>, canon::PremixedState> = HashMap::default();
-    let mut out: Vec<Member> = Vec::new();
-    let mut scratch_edges: Vec<(usize, usize, u8)> = Vec::new();
-    // Queue entries reference closure members by index into `out`
-    // (`usize::MAX` = the root pattern), so a member's graph is stored
-    // exactly once and never cloned. The last tuple field carries the
-    // entry's mixed node-key sum so each attempt derives its node term by
-    // one subtraction instead of a rescan.
-    const ROOT: usize = usize::MAX;
-    let root_total = root_keys
-        .iter()
-        .fold(0u64, |acc, &k| acc.wrapping_add(canon::mix(k)));
-    let mut queue: Vec<(usize, Vec<u64>, Vec<bool>, u64)> =
-        vec![(ROOT, root_keys, root_comm, root_total)];
-    while let Some((gi, keys, comm, key_total)) = queue.pop() {
-        if out.len() >= cap {
-            break;
+/// True if the `n` nodes of `edges` form one weakly connected component
+/// (union-find over the triples; `parent` is scratch).
+fn triples_connected(n: usize, edges: &[Triple], parent: &mut Vec<u32>) -> bool {
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
         }
-        let nodes = if gi == ROOT {
-            pattern.node_count()
-        } else {
-            out[gi].graph.node_count()
-        };
-        if nodes <= 1 {
-            continue; // nothing left to contract
-        }
-        for vi in 0..nodes {
-            let v = NodeId(vi as u32);
-            let g = if gi == ROOT { pattern } else { &out[gi].graph };
-            let Some(pass) = bypass_source(g, v) else {
-                continue;
-            };
-            // Prospective contraction, without building the graph:
-            // surviving position `p` was parent node `orig(p)`.
-            let orig = |p: usize| p + usize::from(p >= vi);
-            let remap = |n: NodeId| n.index() - usize::from(n.index() > vi);
-            scratch_edges.clear();
-            for e in g.edges() {
-                if e.src == v || e.dst == v {
-                    continue;
-                }
-                scratch_edges.push((remap(e.src), remap(e.dst), e.port));
-            }
-            if let Some((u, _)) = pass {
-                for e in g.succs(v) {
-                    if e.dst == v {
-                        continue;
-                    }
-                    scratch_edges.push((remap(u), remap(e.dst), e.port));
-                }
-            }
-            scratch_edges.sort_unstable();
-            // The structural key from the surviving nodes and the scratch
-            // edges — identical to `key_from_keys` on the built graph.
-            let node_acc = key_total.wrapping_sub(canon::mix(keys[vi]));
-            let mut edge_acc = 0u64;
-            for &(s, d, p) in &scratch_edges {
-                let port = if comm[orig(d)] {
-                    canon::COMMUTATIVE_PORT
-                } else {
-                    p as u64
-                };
-                edge_acc = edge_acc.wrapping_add(canon::mix(canon::combine(
-                    canon::combine(keys[orig(s)], keys[orig(d)]),
-                    port,
-                )));
-            }
-            let key = canon::mix(canon::combine(
-                canon::combine((nodes - 1) as u64, scratch_edges.len() as u64),
-                node_acc.wrapping_add(edge_acc),
-            ));
-            // Exact duplicate test against the bucket's cached members:
-            // same positional labels (compared as labels, not hashes) and
-            // same sorted edge triples.
-            let identical = |m: &Member| {
-                m.graph.node_count() == nodes - 1
-                    && m.sorted_edges == scratch_edges
-                    && m.graph
-                        .node_ids()
-                        .all(|p| m.graph[p] == g[NodeId(orig(p.index()) as u32)])
-            };
-            let bucket = seen.get(&key);
-            if let Some(b) = bucket {
-                if b.iter().any(|&i| identical(&out[i])) {
-                    continue;
-                }
-            }
-            // New shape (or a same-key cousin needing a VF2 verdict):
-            // build it straight from the surviving labels and the scratch
-            // edge triples — the same graph `contract_once` would produce,
-            // without re-deriving the bypass or remapping twice. A
-            // contraction that disconnects the pattern is discarded, as in
-            // `contract_once`.
-            let mut c = DiGraph::with_capacity(nodes - 1);
-            for p in 0..nodes - 1 {
-                c.add_node(g[NodeId(orig(p) as u32)].clone());
-            }
-            for &(s, d, p) in &scratch_edges {
-                c.add_edge(NodeId(s as u32), NodeId(d as u32), p);
-            }
-            if !c.is_weakly_connected() {
-                continue;
-            }
-            let mut ckeys = keys.clone();
-            ckeys.remove(vi);
-            let mut ccomm = comm.clone();
-            ccomm.remove(vi);
-            debug_assert_eq!(
-                key_from_keys(&c, &ckeys, &ccomm),
-                key,
-                "prospective key must match the built graph's key"
-            );
-            if let Some(b) = bucket {
-                if b.iter().any(|&i| patterns_equivalent(&out[i].graph, &c)) {
-                    continue;
-                }
-            }
-            seen.entry(key).or_default().push(out.len());
-            out.push(Member {
-                graph: c,
-                key,
-                sorted_edges: scratch_edges.clone(),
-            });
-            if out.len() >= cap {
-                return out.into_iter().map(|m| (m.graph, m.key)).collect();
-            }
-            queue.push((out.len() - 1, ckeys, ccomm, node_acc));
+        x
+    }
+    parent.clear();
+    parent.extend(0..n as u32);
+    let mut components = n;
+    for &(s, d, _) in edges {
+        let (a, b) = (find(parent, s), find(parent, d));
+        if a != b {
+            parent[a as usize] = b;
+            components -= 1;
         }
     }
-    out.into_iter().map(|m| (m.graph, m.key)).collect()
+    components <= 1
+}
+
+/// A closure member in compact form. Member position `p` is root node
+/// `survivors[p]` (ascending, so contraction preserves relative node
+/// order), labels are borrowed from the root, and `edges` are the
+/// member's sorted triples. The `DiGraph` form is built only when VF2
+/// must confirm a same-key match, and then kept.
+struct Member {
+    survivors: Vec<u32>,
+    edges: Vec<Triple>,
+    /// [`canon::refined_key`] of the member.
+    key: u64,
+    graph: OnceCell<DiGraph<DfgLabel>>,
+}
+
+impl Member {
+    /// The member's `DiGraph`, built on first use.
+    fn graph(&self, root: &DiGraph<DfgLabel>) -> &DiGraph<DfgLabel> {
+        self.graph
+            .get_or_init(|| build_graph(root, &self.survivors, &self.edges))
+    }
+}
+
+/// The contraction closure of `root` in compact form: `[0]` is the root
+/// itself, the closure proper is `[1..]` in discovery order.
+///
+/// Walks exactly as repeated [`contract_once`] would: a LIFO stack of
+/// members, each member's nodes tried in position order, a new shape kept
+/// unless it is disconnected or equivalent to a kept one, and the walk
+/// stopped once `cap` members are kept.
+///
+/// An attempt whose set of removed root nodes (equivalently, of
+/// surviving ones) was already tried is skipped: the contracted graph
+/// depends only on that set (a port that became external stays external
+/// as more nodes are removed, so every removal order resolves each
+/// surviving port to the same producer), and the earlier attempt already
+/// kept or rejected it. Duplicates are found by [`canon::refined_key`]
+/// bucket plus an exact positional compare (same root labels, same
+/// triples); only a same-key shape that is not positionally identical
+/// pays for VF2.
+fn closure_members(root: &DiGraph<DfgLabel>, cap: usize) -> Vec<Member> {
+    let n = root.node_count();
+    let keys: Vec<u64> = root.node_ids().map(|v| root[v].key()).collect();
+    let comm: Vec<bool> = root
+        .node_ids()
+        .map(|v| root[v].opcode.is_commutative())
+        .collect();
+    // Label class per root node: equal labels share the lowest index,
+    // so positional label compares are integer compares.
+    let class: Vec<u32> = (0..n)
+        .map(|v| {
+            (0..v)
+                .find(|&u| root[NodeId(u as u32)] == root[NodeId(v as u32)])
+                .unwrap_or(v) as u32
+        })
+        .collect();
+    let mut members = vec![Member {
+        survivors: (0..n as u32).collect(),
+        edges: Vec::new(),
+        key: 0,
+        graph: OnceCell::new(),
+    }];
+    sorted_triples(root, &mut members[0].edges);
+    let mut buckets: HashMap<u64, Vec<usize>, canon::PremixedState> = HashMap::default();
+    // Survivor sets already attempted (each names its removed set).
+    let mut tried: HashSet<Vec<u32>> = HashSet::new();
+    let mut surv: Vec<u32> = Vec::new();
+    let mut edges: Vec<Triple> = Vec::new();
+    let mut key_scratch = canon::CanonScratch::default();
+    let mut parent = Vec::new();
+    let mut stack = vec![0usize];
+    // `members[0]` is the root, so the closure so far is
+    // `members.len() - 1` and `members.len() > cap` means it is full.
+    while let Some(gi) = stack.pop() {
+        if members.len() > cap {
+            break;
+        }
+        let m = members[gi].survivors.len();
+        if m <= 1 {
+            continue; // nothing left to contract
+        }
+        for vi in 0..m as u32 {
+            let p = &members[gi];
+            let Some(pass) = bypass_source(&root[NodeId(p.survivors[vi as usize])], |port| {
+                p.edges
+                    .iter()
+                    .find(|&&(_, d, q)| d == vi && q == port)
+                    .map(|&(s, _, _)| s)
+            }) else {
+                continue;
+            };
+            // The contraction: survivors minus position `vi`, edges not
+            // touching `vi` renumbered, and `vi`'s consumers fed by the
+            // pass-through producer when it is internal.
+            surv.clear();
+            surv.extend(
+                p.survivors
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != vi as usize)
+                    .map(|(_, &r)| r),
+            );
+            if tried.contains(surv.as_slice()) {
+                continue;
+            }
+            tried.insert(surv.clone());
+            let remap = |x: u32| x - u32::from(x > vi);
+            edges.clear();
+            for &(s, d, port) in &p.edges {
+                if s != vi && d != vi {
+                    edges.push((remap(s), remap(d), port));
+                } else if s == vi && d != vi {
+                    if let Some((u, _)) = pass {
+                        edges.push((remap(u), remap(d), port));
+                    }
+                }
+            }
+            edges.sort_unstable();
+            let key = canon::refined_key(
+                m - 1,
+                |i| keys[surv[i] as usize],
+                |i| comm[surv[i] as usize],
+                &edges,
+                &mut key_scratch,
+            );
+            let bucket = buckets.get(&key);
+            let identical = |o: &Member| {
+                o.edges == edges
+                    && o.survivors.len() == surv.len()
+                    && o.survivors
+                        .iter()
+                        .zip(&surv)
+                        .all(|(&a, &b)| class[a as usize] == class[b as usize])
+            };
+            if bucket.is_some_and(|b| b.iter().any(|&i| identical(&members[i]))) {
+                continue;
+            }
+            if !triples_connected(m - 1, &edges, &mut parent) {
+                continue;
+            }
+            let graph = OnceCell::new();
+            if let Some(b) = bucket {
+                // A same-key cousin: VF2 decides.
+                let c = build_graph(root, &surv, &edges);
+                if b.iter()
+                    .any(|&i| patterns_equivalent(members[i].graph(root), &c))
+                {
+                    continue;
+                }
+                let _ = graph.set(c);
+            }
+            buckets.entry(key).or_default().push(members.len());
+            members.push(Member {
+                survivors: surv.clone(),
+                edges: edges.clone(),
+                key,
+                graph,
+            });
+            if members.len() > cap {
+                return members;
+            }
+            stack.push(members.len() - 1);
+        }
+    }
+    members
 }
 
 /// Fills in [`CfuCandidate::subsumes`] for every candidate: `i` subsumes
@@ -324,39 +372,57 @@ fn closure_keyed(pattern: &DiGraph<DfgLabel>, cap: usize) -> Vec<(DiGraph<DfgLab
 /// slice and written back afterwards; the result is identical to the
 /// serial loop for any thread count.
 pub fn mark_subsumptions(cands: &mut [CfuCandidate], cap: usize) {
-    // Index candidates by cheap structural key for O(1) closure lookups.
-    // The key is sound for commutativity-aware isomorphism, so a closure
+    // Index candidates by the closure walk's key for O(1) lookups. The
+    // key is sound for commutativity-aware isomorphism, so a closure
     // member's true matches are always in its bucket; equality inside a
     // bucket is confirmed exactly below.
+    let mut key_scratch = canon::CanonScratch::default();
+    let mut triples = Vec::new();
     let mut by_key: HashMap<u64, Vec<usize>, canon::PremixedState> = HashMap::default();
     for (i, c) in cands.iter().enumerate() {
-        let keys: Vec<u64> = c.pattern.node_ids().map(|n| c.pattern[n].key()).collect();
-        let comm: Vec<bool> = c
-            .pattern
-            .node_ids()
-            .map(|n| c.pattern[n].opcode.is_commutative())
-            .collect();
-        by_key
-            .entry(key_from_keys(&c.pattern, &keys, &comm))
-            .or_default()
-            .push(i);
+        let g = &c.pattern;
+        sorted_triples(g, &mut triples);
+        let key = canon::refined_key(
+            g.node_count(),
+            |v| g[NodeId(v as u32)].key(),
+            |v| g[NodeId(v as u32)].opcode.is_commutative(),
+            &triples,
+            &mut key_scratch,
+        );
+        by_key.entry(key).or_default().push(i);
     }
     let view: &[CfuCandidate] = cands;
     let subsumed_lists = par::par_map_indexed(view.len(), |i| {
         if view[i].pattern.node_count() < 2 {
             return Vec::new();
         }
-        let closure = closure_keyed(&view[i].pattern, cap);
+        let root = &view[i].pattern;
+        let closure = closure_members(root, cap);
         let mut subsumed: Vec<usize> = Vec::new();
-        for (g, key) in &closure {
-            if let Some(matches) = by_key.get(key) {
-                for &j in matches {
-                    if j != i
-                        && (patterns_identical_fast(&view[j].pattern, g)
-                            || patterns_equivalent(&view[j].pattern, g))
-                    {
-                        subsumed.push(j);
-                    }
+        let mut triples = Vec::new();
+        for m in &closure[1..] {
+            let Some(matches) = by_key.get(&m.key) else {
+                continue;
+            };
+            for &j in matches {
+                if j == i {
+                    continue;
+                }
+                let pj = &view[j].pattern;
+                // Positionally identical (same labels in order, same
+                // triples) is equivalent without a search; VF2 otherwise.
+                let identical = pj.node_count() == m.survivors.len()
+                    && pj.edge_count() == m.edges.len()
+                    && m.survivors
+                        .iter()
+                        .enumerate()
+                        .all(|(p, &r)| pj[NodeId(p as u32)] == root[NodeId(r)])
+                    && {
+                        sorted_triples(pj, &mut triples);
+                        triples == m.edges
+                    };
+                if identical || patterns_equivalent(pj, m.graph(root)) {
+                    subsumed.push(j);
                 }
             }
         }
