@@ -5,8 +5,9 @@
 //! round after a kernel's first service is a content-addressed cache
 //! hit), measuring client-side latency per request. Writes
 //! `BENCH_serve.json` with throughput, histogram-derived
-//! p50/p90/p99/p999 latency, the full client-latency and server
-//! queue-wait histograms, the cache hit rate, and the same
+//! p50/p90/p99/p999 latency, p50/p99 of cache hits and of misses apart
+//! (so the hit rate cannot hide pipeline cost), the full client-latency
+//! and server queue-wait histograms, the cache hit rate, and the same
 //! `oversubscribed` flag `BENCH_pipeline.json` carries — on a host
 //! where workers outnumber CPUs the throughput numbers demonstrate
 //! determinism and caching, not parallel scaling, and the report says
@@ -140,14 +141,15 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let per_client: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
+    // Per client, per request: latency in µs, and whether the reply
+    // was a cache hit (`None` when the request failed).
+    let per_client: Vec<Vec<(u64, Option<bool>)>> = std::thread::scope(|scope| {
         let requests = &requests;
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("client connects");
                     let mut latencies_us = Vec::with_capacity(rounds * requests.len());
-                    let mut errors = 0u64;
                     for _ in 0..rounds {
                         // Offset each client's walk so cold misses spread
                         // across the corpus instead of piling on one key.
@@ -161,17 +163,20 @@ fn main() {
                                 multifunction: false,
                                 work_budget: *work,
                             });
-                            latencies_us.push(t.elapsed().as_micros() as u64);
+                            let us = t.elapsed().as_micros() as u64;
                             match outcome {
-                                Ok((_, art)) => assert!(art.mdes.is_some()),
+                                Ok((cached, art)) => {
+                                    assert!(art.mdes.is_some());
+                                    latencies_us.push((us, Some(cached)));
+                                }
                                 Err(e) => {
                                     eprintln!("loadgen: {name}: {e}");
-                                    errors += 1;
+                                    latencies_us.push((us, None));
                                 }
                             }
                         }
                     }
-                    (latencies_us, errors)
+                    latencies_us
                 })
             })
             .collect();
@@ -181,9 +186,13 @@ fn main() {
 
     let mut latencies: Vec<u64> = per_client
         .iter()
-        .flat_map(|(l, _)| l.iter().copied())
+        .flat_map(|l| l.iter().map(|&(us, _)| us))
         .collect();
-    let errors: u64 = per_client.iter().map(|(_, e)| e).sum();
+    let errors = per_client
+        .iter()
+        .flatten()
+        .filter(|(_, c)| c.is_none())
+        .count() as u64;
     latencies.sort_unstable();
     let total_requests = latencies.len() as u64;
 
@@ -191,15 +200,27 @@ fn main() {
     // the merge algebra makes this equal to one big histogram.
     let latency_hist = {
         let mut h = Hist::new();
-        for (client_lat, _) in &per_client {
+        for client_lat in &per_client {
             let mut shard = Hist::new();
-            for &us in client_lat {
+            for &(us, _) in client_lat {
                 shard.record(us);
             }
             h.merge(&shard);
         }
         h
     };
+    // Hits and misses apart: a miss runs the pipeline, a hit only the
+    // wire and the cache.
+    let split_hist = |want: bool| {
+        let mut h = Hist::new();
+        for &(us, cached) in per_client.iter().flatten() {
+            if cached == Some(want) {
+                h.record(us);
+            }
+        }
+        h
+    };
+    let (hit_hist, miss_hist) = (split_hist(true), split_hist(false));
 
     let stats = server.stats_value();
     let server_hists = server.hists();
@@ -236,6 +257,10 @@ fn main() {
         ("p90_us", latency_hist.quantile(0.90).into()),
         ("p99_us", latency_hist.quantile(0.99).into()),
         ("p999_us", latency_hist.quantile(0.999).into()),
+        ("hit_p50_us", hit_hist.quantile(0.50).into()),
+        ("hit_p99_us", hit_hist.quantile(0.99).into()),
+        ("miss_p50_us", miss_hist.quantile(0.50).into()),
+        ("miss_p99_us", miss_hist.quantile(0.99).into()),
         ("latency_hist", hist_json(&latency_hist)),
         ("queue_wait_hist", hist_json(&server_hists.queue_wait_us)),
         (

@@ -9,17 +9,19 @@
 //! text for compiles, and the admitted work budget). The server's
 //! shared context is fixed for its lifetime, so it needs no key bits.
 //!
-//! Insertion is **first-insert-wins**: when two requests race to fill
-//! the same key, the first `insert` published is the entry everyone —
-//! including the losing computer — gets back. With a deterministic
-//! pipeline both computed the same bytes anyway; first-insert-wins
-//! makes the linearization obvious and testable (the proptests race
-//! deliberately-different payloads and assert one canonical winner).
+//! Concurrent misses on one key **coalesce**: the first [`lookup`]
+//! claims the key and computes it; later lookups of that key wait for
+//! the claim to be filled and count as hits. A claim dropped unfilled
+//! (an error on the miss path) frees the key, and one waiter claims it
+//! in turn. So every key runs the pipeline once however requests race,
+//! and the hit count depends only on the request script.
+//!
+//! [`lookup`]: ArtifactCache::lookup
 
 use crate::protocol::Artifacts;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// 64-bit FNV-1a over a byte string: tiny, dependency-free, and stable
 /// across platforms — exactly what a cache key (not a security
@@ -98,10 +100,57 @@ impl ConfigHasher {
     }
 }
 
-/// A concurrent, first-insert-wins artifact cache.
+/// One key's state: claimed by the request computing it, or filled.
+#[derive(Debug)]
+enum Slot {
+    Pending,
+    Ready(Arc<Artifacts>),
+}
+
+/// What [`ArtifactCache::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup<'a> {
+    /// The key's artifacts, filled earlier or while this lookup waited.
+    Hit(Arc<Artifacts>),
+    /// The key is this caller's to compute and [`Claim::fill`].
+    Miss(Claim<'a>),
+}
+
+/// The right to fill one key. Dropping it unfilled frees the key.
+#[derive(Debug)]
+pub struct Claim<'a> {
+    cache: &'a ArtifactCache,
+    key: CacheKey,
+}
+
+impl Claim<'_> {
+    /// Publishes the key's artifacts and wakes the lookups waiting for
+    /// them.
+    pub fn fill(self, artifacts: Artifacts) -> Arc<Artifacts> {
+        let filled = Arc::new(artifacts);
+        self.cache
+            .lock()
+            .insert(self.key, Slot::Ready(filled.clone()));
+        filled
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut map = self.cache.lock();
+        if matches!(map.get(&self.key), Some(Slot::Pending)) {
+            map.remove(&self.key);
+        }
+        drop(map);
+        self.cache.filled.notify_all();
+    }
+}
+
+/// A concurrent artifact cache that computes each key once.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
-    map: Mutex<HashMap<CacheKey, Arc<Artifacts>>>,
+    map: Mutex<HashMap<CacheKey, Slot>>,
+    filled: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -112,35 +161,38 @@ impl ArtifactCache {
         ArtifactCache::default()
     }
 
-    /// Looks up `key`, counting a hit or a miss.
-    pub fn lookup(&self, key: CacheKey) -> Option<Arc<Artifacts>> {
-        let found = self.map.lock().expect("cache lock").get(&key).cloned();
-        match found {
-            Some(a) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(a)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+    fn lock(&self) -> MutexGuard<'_, HashMap<CacheKey, Slot>> {
+        self.map.lock().expect("cache lock")
+    }
+
+    /// Looks up `key`: a hit when it is filled, or once the request
+    /// computing it fills it; otherwise claims it and counts a miss.
+    pub fn lookup(&self, key: CacheKey) -> Lookup<'_> {
+        let mut map = self.lock();
+        loop {
+            match map.get(&key) {
+                Some(Slot::Ready(a)) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Lookup::Hit(a.clone());
+                }
+                Some(Slot::Pending) => {
+                    map = self.filled.wait(map).expect("cache lock");
+                }
+                None => {
+                    map.insert(key, Slot::Pending);
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    return Lookup::Miss(Claim { cache: self, key });
+                }
             }
         }
     }
 
-    /// Publishes `artifacts` under `key` unless an entry already exists,
-    /// and returns the canonical entry either way (first insert wins).
-    pub fn insert(&self, key: CacheKey, artifacts: Artifacts) -> Arc<Artifacts> {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .entry(key)
-            .or_insert_with(|| Arc::new(artifacts))
-            .clone()
-    }
-
-    /// Number of distinct entries.
+    /// Number of filled entries.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len()
+        self.lock()
+            .values()
+            .filter(|slot| matches!(slot, Slot::Ready(_)))
+            .count()
     }
 
     /// True when nothing has been inserted.
@@ -148,12 +200,12 @@ impl ArtifactCache {
         self.len() == 0
     }
 
-    /// Lookups that found an entry.
+    /// Lookups that found an entry, or waited for one.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that found nothing.
+    /// Lookups that claimed a key to compute it.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }

@@ -3,8 +3,8 @@
 //! from Rust without hand-rolling the framing.
 
 use crate::protocol::{
-    decode_response, encode_request, Artifacts, ErrorCode, Frame, Reply, Request, Response,
-    WireError,
+    decode_response, encode_request, write_frame, Artifacts, ErrorCode, Frame, Reply, Request,
+    Response, WireError,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -25,6 +25,7 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             writer: stream,
@@ -41,8 +42,7 @@ impl Client {
     pub fn request(&mut self, request: Request) -> Result<Response, WireError> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = encode_request(&Frame { id, request });
-        self.send_raw(&line)
+        self.send_raw(encode_request(&Frame { id, request }))
     }
 
     /// Sends a pre-encoded (possibly malformed, for tests) frame and
@@ -51,11 +51,9 @@ impl Client {
     /// # Errors
     ///
     /// I/O failures and undecodable responses surface as `WireError`s.
-    pub fn send_raw(&mut self, line: &str) -> Result<Response, WireError> {
-        let io_err = |e: std::io::Error| WireError::new(ErrorCode::TruncatedFrame, e.to_string());
-        self.writer.write_all(line.as_bytes()).map_err(io_err)?;
-        self.writer.write_all(b"\n").map_err(io_err)?;
-        self.writer.flush().map_err(io_err)?;
+    pub fn send_raw(&mut self, line: impl Into<String>) -> Result<Response, WireError> {
+        write_frame(&mut self.writer, line.into())
+            .map_err(|e| WireError::new(ErrorCode::TruncatedFrame, e.to_string()))?;
         self.read_response()
     }
 

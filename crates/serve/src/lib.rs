@@ -15,7 +15,7 @@
 //!   `compile` / `stats` / `shutdown`), a total, panic-free codec over
 //!   `isax-json`;
 //! - [`cache`] — canonical kernel fingerprint + config hash keys over a
-//!   first-insert-wins concurrent map;
+//!   concurrent map that computes each key once;
 //! - [`server`] — the bounded work queue, worker pool, isax-guard
 //!   admission control and stats endpoint;
 //! - [`telemetry`] — deterministic request ids, the structured access
@@ -36,11 +36,11 @@ pub mod protocol;
 pub mod server;
 pub mod telemetry;
 
-pub use cache::{fnv64, kernel_fingerprint, ArtifactCache, CacheKey, ConfigHasher};
+pub use cache::{fnv64, kernel_fingerprint, ArtifactCache, CacheKey, Claim, ConfigHasher, Lookup};
 pub use client::Client;
 pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, frame_id, Artifacts,
-    ErrorCode, Frame, Reply, Request, Response, WireError, MAX_FRAME_BYTES,
+    decode_request, decode_response, encode_request, encode_response, frame_id, write_frame,
+    Artifacts, ErrorCode, Frame, Reply, Request, Response, WireError, MAX_FRAME_BYTES,
 };
 pub use server::{stats_mode, ServeConfig, Server};
 pub use telemetry::{access_mode, request_id, AccessLog, AccessRecord, HistSet, ServeMetrics};

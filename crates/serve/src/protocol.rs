@@ -8,6 +8,15 @@
 //! underlying `isax_json` parser is depth-capped and fuzz-clean), and
 //! encode ∘ decode is the identity (see the crate's proptests).
 //!
+//! **Framing rule.** Both ends send a frame with [`write_frame`]: the
+//! line and its `\n` go out in one `write`, and both sockets run with
+//! `TCP_NODELAY`. Written as two calls, the `\n` is a tiny second
+//! segment that Nagle holds until the peer ACKs the first, while the
+//! peer, still without a whole line, holds that ACK for its delayed-ACK
+//! timeout (about 40 ms): one stall per request and one per reply. No
+//! `BufWriter` either — a line longer than its buffer is written past
+//! it, which sends the `\n` on its own again.
+//!
 //! Request grammar (fields beyond `req` and `id` per request kind):
 //!
 //! ```text
@@ -31,6 +40,7 @@
 //! ```
 
 use isax_json::{object, Value};
+use std::io::Write;
 
 /// Default cap on one frame's encoded size. Large enough for any kernel
 /// in the corpora (the biggest generated kernel is well under 1 MiB),
@@ -511,4 +521,16 @@ pub fn decode_response(line: &str) -> Result<Response, WireError> {
         ));
     };
     Ok(Response { id, reply })
+}
+
+/// Sends `line` and its `\n` in one `write_all` (the module doc's
+/// framing rule says why), then flushes.
+///
+/// # Errors
+///
+/// Propagates write and flush failures.
+pub fn write_frame(w: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
 }

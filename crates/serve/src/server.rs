@@ -23,17 +23,17 @@
 //! the server's whole lifetime — per-request logs ride on stage return
 //! values, so concurrent requests never interleave.
 
-use crate::cache::{fnv64, kernel_fingerprint, ArtifactCache, CacheKey, ConfigHasher};
+use crate::cache::{fnv64, kernel_fingerprint, ArtifactCache, CacheKey, ConfigHasher, Lookup};
 use crate::protocol::{
-    decode_request, encode_response, frame_id, Artifacts, ErrorCode, Frame, Reply, Request,
-    Response, WireError, MAX_FRAME_BYTES,
+    decode_request, encode_response, frame_id, write_frame, Artifacts, ErrorCode, Frame, Reply,
+    Request, Response, WireError, MAX_FRAME_BYTES,
 };
 use crate::telemetry::{access_mode, request_id, AccessLog, AccessRecord, HistSet, ServeMetrics};
 use isax::{Customizer, MatchMode, MatchOptions, Mdes, SharedContext};
 use isax_json::{object, Value};
 use isax_trace::{EnvMode, Expo, Section};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -481,9 +481,10 @@ impl Shared {
                         .u64("work_units", admitted.unwrap_or(u64::MAX))
                         .finish(),
                 };
-                if let Some(hit) = self.cache.lookup(key) {
-                    return Ok((true, (*hit).clone()));
-                }
+                let claim = match self.cache.lookup(key) {
+                    Lookup::Hit(hit) => return Ok((true, (*hit).clone())),
+                    Lookup::Miss(claim) => claim,
+                };
                 let mut cz = Customizer::with_context(self.ctx.clone());
                 if let Some(u) = admitted {
                     cz.guard = cz.guard.clone().with_units(u);
@@ -501,23 +502,23 @@ impl Shared {
                 let mdes_json = mdes
                     .to_json()
                     .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
-                let mut plog = analysis.prov.clone();
-                plog.merge(sel.prov.clone());
-                let mut prov = isax::build_report(&name, &plog).to_string_pretty();
-                prov.push('\n');
                 let degraded = analysis
                     .degradations
                     .iter()
                     .chain(sel.degradations.iter())
                     .map(ToString::to_string)
                     .collect();
+                let mut plog = analysis.prov;
+                plog.merge(sel.prov);
+                let mut prov = isax::build_report(&name, &plog).to_string_pretty();
+                prov.push('\n');
                 let artifacts = Artifacts {
                     mdes: Some(mdes_json),
                     prov: Some(prov),
                     degraded,
                     ..Artifacts::default()
                 };
-                Ok((false, (*self.cache.insert(key, artifacts)).clone()))
+                Ok((false, (*claim.fill(artifacts)).clone()))
             }
             Request::Compile {
                 kernel,
@@ -545,9 +546,10 @@ impl Shared {
                         .u64("work_units", admitted.unwrap_or(u64::MAX))
                         .finish(),
                 };
-                if let Some(hit) = self.cache.lookup(key) {
-                    return Ok((true, (*hit).clone()));
-                }
+                let claim = match self.cache.lookup(key) {
+                    Lookup::Hit(hit) => return Ok((true, (*hit).clone())),
+                    Lookup::Miss(claim) => claim,
+                };
                 let mut cz = Customizer::with_context(self.ctx.clone());
                 if let Some(u) = admitted {
                     cz.guard = cz.guard.clone().with_units(u);
@@ -586,7 +588,7 @@ impl Shared {
                         .collect(),
                     ..Artifacts::default()
                 };
-                Ok((false, (*self.cache.insert(key, artifacts)).clone()))
+                Ok((false, (*claim.fill(artifacts)).clone()))
             }
             // Control requests never reach the queue.
             Request::Stats | Request::Metrics | Request::Shutdown => Err(WireError::new(
@@ -955,6 +957,9 @@ fn log_inline(
 }
 
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
+    // No segment of a reply may wait on Nagle (the protocol module's
+    // framing rule); a socket that refuses still works, only slower.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -1116,7 +1121,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 shared.queue_cv.notify_one();
                 match rx.recv() {
                     Ok(line) => {
-                        if write_line(&mut writer, &line).is_err() {
+                        if write_frame(&mut writer, line).is_err() {
                             return;
                         }
                     }
@@ -1144,11 +1149,5 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 fn respond(writer: &mut TcpStream, id: u64, reply: Reply) -> std::io::Result<()> {
-    write_line(writer, &encode_response(&Response { id, reply }))
-}
-
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    write_frame(writer, encode_response(&Response { id, reply }))
 }

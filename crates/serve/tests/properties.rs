@@ -1,22 +1,26 @@
-//! Property-based checks of the serve layer's two foundational claims:
+//! Property-based checks of the serve layer's foundational claims:
 //!
 //! * the wire codec is **total and lossless** — `encode → decode` is the
 //!   identity for every representable frame, encoded frames never
 //!   contain a raw newline (so the framing cannot break, whatever bytes
 //!   the kernel text holds), and `decode` never panics on arbitrary
 //!   input;
-//! * the content-addressed cache **linearizes** — when many threads
-//!   race `insert` on one key, every thread observes the same canonical
-//!   artifact, the one a subsequent `lookup` returns.
+//! * a frame goes out in **one write** — line and `\n` together, so
+//!   the `\n` never trails as a segment of its own that Nagle holds;
+//! * the content-addressed cache **coalesces** — when many threads race
+//!   `lookup` on one key, one computes it and every thread observes that
+//!   one canonical artifact.
 
 use isax_json::Value;
 use isax_serve::{
-    decode_request, decode_response, encode_request, encode_response, frame_id, ArtifactCache,
-    Artifacts, CacheKey, ErrorCode, Frame, Reply, Request, Response, WireError,
+    decode_request, decode_response, encode_request, encode_response, frame_id, write_frame,
+    ArtifactCache, Artifacts, CacheKey, ErrorCode, Frame, Lookup, Reply, Request, Response,
+    WireError,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::sync::Arc;
 
 /// Strings over the full scalar-value space, biased toward the bytes
@@ -259,49 +263,88 @@ proptest! {
         prop_assert_eq!(ErrorCode::parse(code.as_str()), Some(code));
     }
 
-    /// Concurrent `insert` races on one key linearize: every racing
-    /// thread gets the *same* canonical `Arc` even when their payloads
-    /// differ, and `lookup` afterwards returns that same artifact. (In
-    /// production, payloads for one key are identical by construction —
-    /// the pipeline is deterministic — so first-insert-wins is
-    /// indistinguishable from any other tie-break; this test feeds
-    /// deliberately different payloads to make a linearization failure
-    /// visible.)
+    /// Concurrent lookups of one key coalesce: exactly one claims it
+    /// and fills it, and every other racing thread gets that same `Arc`
+    /// as a hit. Each thread offers a different payload, so a second
+    /// fill would be visible. A claim dropped unfilled frees the key.
     #[test]
-    fn cache_insert_linearizes_under_races(
+    fn cache_lookups_coalesce_under_races(
         kernel in any::<u64>(),
         config in any::<u64>(),
         threads in 2usize..8,
     ) {
         let cache = Arc::new(ArtifactCache::new());
         let key = CacheKey { kernel, config };
-        let winners: Vec<Arc<Artifacts>> = std::thread::scope(|scope| {
+        let results: Vec<Arc<Artifacts>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let cache = Arc::clone(&cache);
-                    scope.spawn(move || {
-                        cache.insert(
-                            key,
-                            Artifacts {
+                    scope.spawn(move || match cache.lookup(key) {
+                        Lookup::Hit(hit) => hit,
+                        Lookup::Miss(claim) => {
+                            // Hold the claim long enough for the others
+                            // to find the key pending.
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                            claim.fill(Artifacts {
                                 mdes: Some(format!("payload from thread {t}")),
                                 ..Artifacts::default()
-                            },
-                        )
+                            })
+                        }
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let canonical = cache.lookup(key).expect("inserted key must be present");
-        for w in &winners {
+        let Lookup::Hit(canonical) = cache.lookup(key) else {
+            return Err(TestCaseError::fail("a filled key must hit"));
+        };
+        for r in &results {
             prop_assert!(
-                Arc::ptr_eq(w, &canonical),
-                "a racing insert observed a non-canonical artifact"
+                Arc::ptr_eq(r, &canonical),
+                "a racing lookup observed a non-canonical artifact"
             );
         }
+        prop_assert_eq!(cache.misses(), 1);
+        prop_assert_eq!(cache.hits(), threads as u64);
         prop_assert_eq!(cache.len(), 1);
-        // Distinct keys never alias.
+        // Distinct keys never alias, and an unfilled claim frees its key.
         let other = CacheKey { kernel: kernel.wrapping_add(1), config };
-        prop_assert!(cache.lookup(other).is_none());
+        prop_assert!(matches!(cache.lookup(other), Lookup::Miss(_)));
+        prop_assert!(matches!(cache.lookup(other), Lookup::Miss(_)));
+        prop_assert_eq!(cache.len(), 1);
+    }
+}
+
+/// A writer that accepts everything and counts `write` calls.
+#[derive(Default)]
+struct CountingWriter {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_frame_is_one_write_of_the_line_and_its_newline() {
+    for len in [10, 1 << 20] {
+        let line: String = (0..len)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, line.clone()).unwrap();
+        assert_eq!(w.writes, 1, "a {len}-byte line took {} writes", w.writes);
+        assert_eq!(w.bytes.len(), len + 1);
+        assert_eq!(&w.bytes[..len], line.as_bytes());
+        assert_eq!(w.bytes[len], b'\n');
     }
 }

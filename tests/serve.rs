@@ -13,7 +13,8 @@
 //! * malformed, oversized and truncated frames produce structured
 //!   errors and never kill the server;
 //! * budget-exhausted requests degrade exactly like the governed CLI —
-//!   sound artifacts plus intact `Degradation` records.
+//!   sound artifacts plus intact `Degradation` records;
+//! * a cache hit never waits on TCP timers (Nagle, delayed ACK).
 //!
 //! Tests share one process, and the server enables the global
 //! provenance flag for its lifetime, so every test serializes on
@@ -745,4 +746,47 @@ fn telemetry_never_changes_artifacts_and_metrics_out_is_written() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache hit on a small kernel is a few milliseconds of parse, lookup
+/// and JSON; it must not wait on TCP timers. A frame sent as two writes
+/// (the line, then its `\n`) has its `\n` held by Nagle until the
+/// peer's delayed ACK fires — about 40 ms per leg, a floor of roughly
+/// 80 ms per request. One miss, then 20 sequential hits on one
+/// connection; the median hit must stay well under one stall.
+#[test]
+fn cache_hits_do_not_wait_on_tcp_timers() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let (name, text) = corpus()
+        .into_iter()
+        .find(|(name, _)| name == "crc")
+        .expect("crc is in the corpus");
+    let server = Server::spawn(ServeConfig {
+        workers: 1,
+        stats: EnvMode::Off,
+        ..ServeConfig::default()
+    })
+    .expect("server spawns");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (cached, _) = client
+        .artifacts(customize_request(&name, &text, None))
+        .expect("cold customize");
+    assert!(!cached, "first request must miss");
+    let mut hits_ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let (cached, _) = client
+                .artifacts(customize_request(&name, &text, None))
+                .expect("warm customize");
+            assert!(cached, "repeat request must hit");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    server.shutdown();
+    hits_ms.sort_by(f64::total_cmp);
+    let median = hits_ms[hits_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median cache hit took {median:.1} ms (all: {hits_ms:.1?}); a frame is waiting on Nagle/delayed ACK"
+    );
 }
